@@ -12,9 +12,18 @@ CALIB_DIR ?= /tmp/repro-calib-smoke
 
 LINT_CACHE ?= /tmp/repro-lint-cache.json
 
+# perf-compare: the revision to compare the working tree against, the
+# perfbench workload, runs per side, seconds per run, and where the BASE
+# worktree and both result files go.
+BASE ?= HEAD
+WORKLOAD ?= paper
+RUNS ?= 5
+PERF_SECONDS ?= 25
+PERF_DIR ?= /tmp/repro-perf-compare
+
 .PHONY: lint lint-fast lint-full test check campaign-smoke chaos-smoke \
 	telemetry-smoke validate-platforms calib-smoke calib-robust-smoke \
-	engine-bench
+	engine-bench perf-compare
 
 lint:
 	$(PYTHON) -m repro lint
@@ -103,5 +112,23 @@ calib-robust-smoke:
 engine-bench:
 	cd benchmarks && PYTHONPATH=$(CURDIR)/src \
 	  $(PYTHON) -m pytest -x -q bench_engine_speedup.py
+
+# Compare the repository benchmark (perfbench/) at BASE against the working
+# tree: check BASE out into a temporary git worktree, alternate untraced
+# runs of the two sides with the same seeds (1..RUNS), then print
+# perfbench/compare.py for the two result files.  Example:
+#   make perf-compare BASE=main WORKLOAD=paper RUNS=5
+perf-compare:
+	rm -rf $(PERF_DIR) && mkdir -p $(PERF_DIR)
+	git worktree add --detach $(PERF_DIR)/base $(BASE)
+	trap 'git worktree remove --force $(PERF_DIR)/base' EXIT; \
+	for seed in $$(seq 1 $(RUNS)); do \
+	  (cd $(PERF_DIR)/base && $(PYTHON) perfbench/run.py --workload $(WORKLOAD) \
+	    --seed $$seed --seconds $(PERF_SECONDS) --trace 0 \
+	    --out $(PERF_DIR)/base.jsonl) || exit 1; \
+	  $(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $$seed \
+	    --seconds $(PERF_SECONDS) --trace 0 --out $(PERF_DIR)/head.jsonl || exit 1; \
+	done; \
+	$(PYTHON) perfbench/compare.py $(PERF_DIR)/base.jsonl $(PERF_DIR)/head.jsonl
 
 check: lint validate-platforms test campaign-smoke chaos-smoke telemetry-smoke calib-smoke calib-robust-smoke engine-bench

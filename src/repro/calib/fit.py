@@ -795,14 +795,25 @@ def _fit_ladder_robust(prior_freqs_mhz, f_mhz, volts, warnings, what: str):
 
     Aggregating first makes quantized/noisy regulator telemetry collapse
     back to one voltage per OPP, so the ladder test sees the same shape a
-    clean capture would.
+    clean capture would.  Medians that dip below a slower OPP's (heavy
+    noise on a few samples) are raised to the running maximum, because an
+    OPP table's voltages never decrease; returns ``(opps, ladder_rms,
+    projected)`` with ``projected`` true when any median was raised.
     """
     groups: dict[float, list[float]] = {}
     for f, v in zip(f_mhz, volts):
         groups.setdefault(round(float(f), 3), []).append(float(v))
     freqs = sorted(groups)
     medians = [float(np.median(groups[f])) for f in freqs]
-    return _fit_ladder(prior_freqs_mhz, freqs, medians, warnings, what)
+    monotone = [float(v) for v in np.maximum.accumulate(medians)] if medians else []
+    projected = monotone != medians
+    if projected:
+        warnings.append(
+            f"{what}: per-OPP median voltages decrease with frequency; "
+            "raised to their running maximum"
+        )
+    opps, rms = _fit_ladder(prior_freqs_mhz, freqs, monotone, warnings, what)
+    return opps, rms, projected
 
 
 def _two_step_leakage_robust(
@@ -953,9 +964,11 @@ def _component_stages_robust(
         ),
     }
 
-    opps, ladder_rms = _fit_ladder_robust(
+    opps, ladder_rms, projected = _fit_ladder_robust(
         prior_freqs_mhz, freq_mhz_col[mask], volts[mask], warnings, what,
     )
+    if projected:
+        dvfs_grades["opps"] = "low"
     dvfs = StageFit(
         stage=f"dvfs.{domain}",
         params={

@@ -233,7 +233,7 @@ class StepGovernor(FreqGovernor):
     def update(self, policy: DvfsPolicy, now_s: float) -> None:
         util = policy.take_utilization()
         freqs = policy.opps.frequencies_hz()
-        idx = policy.opps.index_of(policy.opps.floor(policy.cur_freq_hz).freq_hz)
+        idx = policy.cur_index
         if util > self.up_threshold and idx < len(freqs) - 1:
             policy.set_target(freqs[idx + 1], now_s)
         elif util < self.down_threshold and idx > 0:

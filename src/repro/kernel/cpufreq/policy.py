@@ -1,7 +1,8 @@
 """DVFS policy objects (cpufreq policies and the GPU devfreq policy).
 
-A :class:`DvfsPolicy` owns the current frequency of one frequency domain,
-the user min/max limits, the *thermal* cap imposed by cooling devices, the
+A :class:`DvfsPolicy` owns the current frequency of one frequency domain
+(with its OPP index and kHz value, kept in step on every change), the user
+min/max limits, the *thermal* cap imposed by cooling devices, the
 ``time_in_state`` residency accounting that the paper's Figures 2/4/6 are
 built from, and the utilisation window its governor consumes.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.soc.opp import OppTable
-from repro.units import hz_to_khz
 
 
 class DvfsPolicy:
@@ -28,10 +28,11 @@ class DvfsPolicy:
         self._user_max_hz = opps.max_freq_hz
         self._thermal_max_hz = opps.max_freq_hz
         start = opps.max_freq_hz if initial_freq_hz is None else initial_freq_hz
-        self._cur_freq_hz = opps.floor(opps.clamp(start)).freq_hz
-        self._time_in_state: dict[int, float] = {
-            khz: 0.0 for khz in opps.frequencies_khz()
-        }
+        self._cur_index = opps.floor_index(opps.clamp(start))
+        self._cur_freq_hz = opps[self._cur_index].freq_hz
+        self._khz = opps.frequencies_khz()
+        self._cur_khz = self._khz[self._cur_index]
+        self._time_in_state: dict[int, float] = {khz: 0.0 for khz in self._khz}
         self._total_transitions = 0
         self._transitions: dict[tuple[int, int], int] = {}
         self._busy_integral_s = 0.0
@@ -47,6 +48,16 @@ class DvfsPolicy:
     def cur_freq_hz(self) -> float:
         """Current operating frequency."""
         return self._cur_freq_hz
+
+    @property
+    def cur_index(self) -> int:
+        """Index of the current OPP in :attr:`opps`."""
+        return self._cur_index
+
+    @property
+    def cur_khz(self) -> int:
+        """Current frequency in kHz, the ``time_in_state`` key."""
+        return self._cur_khz
 
     @property
     def user_min_hz(self) -> float:
@@ -84,20 +95,23 @@ class DvfsPolicy:
         self._reclamp()
 
     def _reclamp(self) -> None:
-        target = self._cur_freq_hz
-        if target > self.effective_max_hz:
-            target = self.opps.floor(self.effective_max_hz).freq_hz
-        if target < self._user_min_hz:
-            target = self.opps.ceil(self._user_min_hz).freq_hz
-        self._commit(target)
+        index = self._cur_index
+        if self._cur_freq_hz > self.effective_max_hz:
+            index = self.opps.floor_index(self.effective_max_hz)
+        if self.opps[index].freq_hz < self._user_min_hz:
+            index = self.opps.ceil_index(self._user_min_hz)
+        self._commit(index)
 
-    def _commit(self, target_hz: float) -> None:
-        """Record and apply a frequency change."""
-        if abs(target_hz - self._cur_freq_hz) > 0.5:
+    def _commit(self, index: int) -> None:
+        """Record and apply a change to the OPP at ``index``."""
+        khz = self._khz[index]
+        if index != self._cur_index:
             self._total_transitions += 1
-            key = (hz_to_khz(self._cur_freq_hz), hz_to_khz(target_hz))
+            key = (self._cur_khz, khz)
             self._transitions[key] = self._transitions.get(key, 0) + 1
-        self._cur_freq_hz = target_hz
+        self._cur_index = index
+        self._cur_freq_hz = self.opps[index].freq_hz
+        self._cur_khz = khz
 
     def set_target(self, freq_hz: float, now_s: float | None = None) -> float:
         """Request a frequency; it is clamped to limits and snapped to an OPP.
@@ -108,13 +122,13 @@ class DvfsPolicy:
         """
         clamped = min(max(freq_hz, self._user_min_hz), self.effective_max_hz)
         # Snap up so a demand between OPPs is satisfied, then re-clamp.
-        target = self.opps.ceil(clamped).freq_hz
-        if target > self.effective_max_hz:
-            target = self.opps.floor(self.effective_max_hz).freq_hz
-        if now_s is not None and target > self._cur_freq_hz:
+        index = self.opps.ceil_index(clamped)
+        if self.opps[index].freq_hz > self.effective_max_hz:
+            index = self.opps.floor_index(self.effective_max_hz)
+        if now_s is not None and index > self._cur_index:
             self._last_raise_s = now_s
-        self._commit(target)
-        return target
+        self._commit(index)
+        return self._cur_freq_hz
 
     @property
     def last_raise_s(self) -> float:
@@ -132,7 +146,7 @@ class DvfsPolicy:
         core); ``mean_util`` is the whole-domain average used for power
         estimation (defaults to ``busy_fraction`` for single-unit domains).
         """
-        khz = hz_to_khz(self._cur_freq_hz)
+        khz = self._cur_khz
         self._time_in_state[khz] = self._time_in_state.get(khz, 0.0) + dt_s
         self._busy_integral_s += busy_fraction * dt_s
         self._elapsed_s += dt_s

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Hashable, Mapping
 
 from repro.errors import ConfigurationError, SchedulingError
@@ -245,11 +246,22 @@ class Kernel:
         self._idle_scales: dict[str, float] = {
             name: 1.0 for name in self.idle_governors
         }
+        # What the per-tick accounting touches, resolved once.
+        self._cluster_accounts = tuple(
+            (c.name, c.n_cores, self.policies[c.name], self.idle_governors[c.name])
+            for c in platform.clusters
+        )
+        self._gpu_policy = self.policies[GPU_DOMAIN]
+        self._gpu_idle = self.idle_governors[GPU_DOMAIN]
 
         # --- hotplug ------------------------------------------------------
         self._cluster_online: dict[str, bool] = {
             c.name: True for c in platform.clusters
         }
+        #: Live read-only views of the per-tick idle scales and the cluster
+        #: power states, for the engine's power assembly.
+        self.idle_scale_view = MappingProxyType(self._idle_scales)
+        self.online_view = MappingProxyType(self._cluster_online)
         self._cooling_states: dict[str, int] = {}
         self._throttle_since_s: dict[str, float] = {}
         self._daemons: list[tuple[str, PeriodicTimer, Callable[[float], None]]] = []
@@ -658,29 +670,28 @@ class Kernel:
             self._cooling_states[device.name] = cur
 
         freqs = self.current_freqs_hz()
-        cluster_freqs = {
-            c.name: freqs[c.name] if self._cluster_online[c.name] else 0.0
-            for c in self.platform.clusters
-        }
+        # Offline clusters run at 0 Hz; with every cluster online the
+        # scheduler reads the clusters' entries of ``freqs`` directly.
+        cluster_freqs = freqs
+        if not all(self._cluster_online.values()):
+            cluster_freqs = {
+                c.name: freqs[c.name] if self._cluster_online[c.name] else 0.0
+                for c in self.platform.clusters
+            }
         sched = self.scheduler.run_tick(cluster_freqs, dt_s)
         gpu = self.gpu.run_tick(freqs[GPU_DOMAIN], dt_s)
 
-        for cluster in self.platform.clusters:
-            usage = sched.usage[cluster.name]
+        idle_scales = self._idle_scales
+        for name, n_cores, policy, idle in self._cluster_accounts:
+            usage = sched.usage[name]
             # Per-CPU governors react to the busiest core; power estimation
             # needs the whole-cluster mean.
-            self.policies[cluster.name].account(
-                dt_s,
-                usage.max_core_load,
-                mean_util=usage.busy_cores / cluster.n_cores,
+            policy.account(
+                dt_s, usage.max_core_load, mean_util=usage.busy_cores / n_cores
             )
-            self._idle_scales[cluster.name] = self.idle_governors[
-                cluster.name
-            ].update(usage.busy_cores, cluster.n_cores, dt_s)
-        self._idle_scales[GPU_DOMAIN] = self.idle_governors[GPU_DOMAIN].update(
-            gpu.busy_fraction, 1, dt_s
-        )
-        self.policies[GPU_DOMAIN].account(dt_s, gpu.busy_fraction)
+            idle_scales[name] = idle.update(usage.busy_cores, n_cores, dt_s)
+        idle_scales[GPU_DOMAIN] = self._gpu_idle.update(gpu.busy_fraction, 1, dt_s)
+        self._gpu_policy.account(dt_s, gpu.busy_fraction)
 
         return KernelTickResult(
             usage=sched.usage,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
 from repro.errors import SchedulingError
-from repro.kernel.task import Task, TaskState
+from repro.kernel.task import Task, TaskState, nice_to_weight
 from repro.soc.components import ClusterSpec
 
 
@@ -42,11 +42,6 @@ class TickResult:
 
     usage: dict[str, ClusterUsage]
     completed_tags: list[Hashable]
-
-
-def nice_to_weight(nice: int) -> float:
-    """CFS-style priority weight: ~1.25x per nice level below zero."""
-    return 1.25 ** (-nice)
 
 
 def _weighted_water_fill(
@@ -155,6 +150,15 @@ class Scheduler:
         """Run one scheduling tick at the given per-cluster frequencies."""
         if dt_s <= 0.0:
             raise SchedulingError(f"tick length must be positive, got {dt_s}")
+        # One pass groups the runnable tasks by cluster, in pid order.  A
+        # task's runnability changes only when its own cluster runs it, so
+        # grouping before any cluster runs sees what a per-cluster scan would.
+        groups: dict[str, list[Task]] = {cname: [] for cname in self._clusters}
+        for task in self._tasks.values():
+            if task.runnable:
+                group = groups.get(task.cluster)
+                if group is not None:
+                    group.append(task)
         usage: dict[str, ClusterUsage] = {}
         completed: list[Hashable] = []
         for cname, spec in self._clusters.items():
@@ -163,25 +167,25 @@ class Scheduler:
                 raise SchedulingError(f"no frequency supplied for cluster {cname!r}")
             capacity = spec.capacity_cycles(freq, dt_s)
             per_core = capacity / spec.n_cores
-            runnable = [
-                t for t in self._tasks.values() if t.runnable and t.cluster == cname
-            ]
-            ceilings = [t.demand_cycles(per_core) for t in runnable]
-            weights = [nice_to_weight(t.nice) for t in runnable]
-            grants = _weighted_water_fill(capacity, ceilings, weights)
             used = 0.0
             per_task: dict[int, float] = {}
             max_core_load = 0.0
-            for task, grant in zip(runnable, grants):
-                if grant <= 0.0:
-                    continue
-                completed.extend(task.consume(grant, dt_s, freq, spec.ipc))
-                per_task[task.pid] = grant
-                used += grant
-                # Load of this task's busiest core, assuming its threads
-                # spread evenly (what per-CPU governors like interactive see).
-                threads = min(task.n_threads, spec.n_cores)
-                max_core_load = max(max_core_load, grant / (per_core * threads))
+            runnable = groups[cname]
+            if runnable:
+                ceilings = [t.demand_cycles(per_core) for t in runnable]
+                weights = [t.weight for t in runnable]
+                grants = _weighted_water_fill(capacity, ceilings, weights)
+                for task, grant in zip(runnable, grants):
+                    if grant <= 0.0:
+                        continue
+                    completed.extend(task.consume(grant, dt_s, freq, spec.ipc))
+                    per_task[task.pid] = grant
+                    used += grant
+                    # Load of this task's busiest core, assuming its threads
+                    # spread evenly (what per-CPU governors like interactive
+                    # see).
+                    threads = min(task.n_threads, spec.n_cores)
+                    max_core_load = max(max_core_load, grant / (per_core * threads))
             busy_cores = used / (spec.ipc * freq * dt_s) if freq > 0 else 0.0
             cluster_load = busy_cores / spec.n_cores
             usage[cname] = ClusterUsage(

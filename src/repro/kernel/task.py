@@ -37,6 +37,11 @@ class WorkItem:
     tag: Hashable
 
 
+def nice_to_weight(nice: int) -> float:
+    """CFS-style priority weight: ~1.25x per nice level below zero."""
+    return 1.25 ** (-nice)
+
+
 class Task:
     """One schedulable process/thread group."""
 
@@ -69,6 +74,17 @@ class Task:
         # Cumulative consumed work, per cluster name (instruction-weighted cycles).
         self.cycles_by_cluster: dict[str, float] = {}
         self.migrations = 0
+
+    @property
+    def nice(self) -> int:
+        """Scheduling priority; lower is more favoured."""
+        return self._nice
+
+    @nice.setter
+    def nice(self, value: int) -> None:
+        self._nice = value
+        #: Share weight of :func:`nice_to_weight`, cached for the scheduler.
+        self.weight = nice_to_weight(value)
 
     # ------------------------------------------------------------------ work
 

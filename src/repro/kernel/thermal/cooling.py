@@ -79,8 +79,7 @@ class DvfsCoolingDevice(CoolingDevice):
     def state_for_cap(self, freq_hz: float) -> int:
         """State whose cap is the highest OPP at or below ``freq_hz``."""
         freqs = self._policy.opps.frequencies_hz()
-        capped = self._policy.opps.floor(max(freq_hz, freqs[0])).freq_hz
-        return len(freqs) - 1 - self._policy.opps.index_of(capped)
+        return len(freqs) - 1 - self._policy.opps.floor_index(max(freq_hz, freqs[0]))
 
     def state_for_power(self, budget_w: float, power_of_freq) -> int:
         """State capping at the fastest OPP whose power fits ``budget_w``.

@@ -14,8 +14,42 @@ import numpy as np
 from repro.errors import CalibrationError, ConfigurationError
 
 
+def sample_window(
+    next_sample_s: float, start_s: float, dt_s: float, period_s: float
+) -> tuple[float, int, float]:
+    """Where the samples of the window ``[start_s, start_s + dt_s)`` fall.
+
+    ``next_sample_s`` is the instrument's next sample time.  Returns
+    ``(first_s, count, next_s)``: the window's samples are
+    ``first_s + period_s * k`` for ``k < count``, and ``next_s`` is the
+    instrument's next sample time after the window (the clamped start when
+    the window holds no sample).
+    """
+    end_s = start_s + dt_s
+    first = next_sample_s if next_sample_s >= start_s else start_s
+    if first >= end_s:
+        return first, 0, first
+    count = int((end_s - first) / period_s) + 1
+    # Keep only samples strictly inside the window (with an edge margin).
+    limit = end_s - 1e-12
+    while count > 0 and first + period_s * (count - 1) >= limit:
+        count -= 1
+    if count == 0:
+        return first, 0, first
+    return first, count, first + period_s * (count - 1) + period_s
+
+
 class PowerDaq:
-    """1 kHz (configurable) power sampler with Gaussian measurement noise."""
+    """1 kHz (configurable) power sampler with Gaussian measurement noise.
+
+    A capture records each window as ``(first sample time, count, watts)``.
+    The samples, and their noise, are built on the first read
+    (:meth:`samples`, :meth:`mean_power_w`, :meth:`energy_j`): the noise of
+    all windows captured since the last read is drawn as one block from the
+    instrument's generator.  Nothing else draws from that generator, so
+    the values are bit for bit those of drawing each window's noise as it
+    is captured.
+    """
 
     def __init__(
         self,
@@ -29,15 +63,31 @@ class PowerDaq:
             raise ConfigurationError("DAQ noise std must be non-negative")
         self._rng = rng
         self._rate = sample_rate_hz
+        self._period = 1.0 / sample_rate_hz
         self._noise = noise_std_w
-        self._chunks: list[np.ndarray] = []
-        self._time_chunks: list[np.ndarray] = []
         self._next_sample_s = 0.0
+        # Windows captured since the last read.
+        self._starts: list[float] = []
+        self._counts: list[int] = []
+        self._watts: list[float] = []
+        # Samples built so far.
+        self._times_built = np.empty(0)
+        self._watts_built = np.empty(0)
 
     @property
     def sample_rate_hz(self) -> float:
         """Configured sampling rate."""
         return self._rate
+
+    @property
+    def noise_std_w(self) -> float:
+        """Standard deviation of the additive measurement noise."""
+        return self._noise
+
+    @property
+    def next_sample_s(self) -> float:
+        """Time of the next sample the instrument takes."""
+        return self._next_sample_s
 
     def capture(self, start_s: float, dt_s: float, power_w: float) -> None:
         """Record the samples falling inside ``[start_s, start_s + dt_s)``.
@@ -45,32 +95,48 @@ class PowerDaq:
         The simulator holds ``power_w`` constant over the tick (ZOH), so all
         samples in the window share the mean and differ only by noise.
         """
-        end_s = start_s + dt_s
-        period = 1.0 / self._rate
-        if self._next_sample_s < start_s:
-            self._next_sample_s = start_s
-        n = int((end_s - self._next_sample_s) / period) + 1
-        if self._next_sample_s >= end_s:
-            n = 0
-        if n <= 0:
-            return
-        times = self._next_sample_s + period * np.arange(n)
-        times = times[times < end_s - 1e-12]
-        n = times.size
-        if n == 0:
-            return
-        samples = np.full(n, power_w)
-        if self._noise > 0.0:
-            samples = samples + self._rng.normal(0.0, self._noise, size=n)
-        self._chunks.append(samples)
-        self._time_chunks.append(times)
-        self._next_sample_s = float(times[-1]) + period
+        first, count, self._next_sample_s = sample_window(
+            self._next_sample_s, start_s, dt_s, self._period
+        )
+        if count:
+            self._starts.append(first)
+            self._counts.append(count)
+            self._watts.append(power_w)
+
+    def extend(self, starts, counts, watts, next_sample_s: float) -> None:
+        """Record many captured windows at once (each with ``count >= 1``).
+
+        The batch stepper's form of repeated :meth:`capture` calls, whose
+        windows it lays out with :func:`sample_window`.
+        """
+        self._starts.extend(starts)
+        self._counts.extend(counts)
+        self._watts.extend(watts)
+        self._next_sample_s = next_sample_s
+
+    def _built(self) -> tuple[np.ndarray, np.ndarray]:
+        """Build the pending windows' samples; the (internal) sample arrays."""
+        if self._counts:
+            counts = np.array(self._counts)
+            total = int(counts.sum())
+            offsets = np.repeat(np.cumsum(counts) - counts, counts)
+            times = np.repeat(np.array(self._starts), counts) + self._period * (
+                np.arange(total) - offsets
+            )
+            watts = np.repeat(np.array(self._watts, dtype=float), counts)
+            if self._noise > 0.0:
+                watts = watts + self._rng.normal(0.0, self._noise, size=total)
+            self._times_built = np.concatenate((self._times_built, times))
+            self._watts_built = np.concatenate((self._watts_built, watts))
+            self._starts.clear()
+            self._counts.clear()
+            self._watts.clear()
+        return self._times_built, self._watts_built
 
     def samples(self) -> tuple[np.ndarray, np.ndarray]:
         """All captured ``(times, watts)`` so far."""
-        if not self._chunks:
-            return np.empty(0), np.empty(0)
-        return np.concatenate(self._time_chunks), np.concatenate(self._chunks)
+        times, watts = self._built()
+        return times.copy(), watts.copy()
 
     def mean_power_w(self, start_s: float | None = None, end_s: float | None = None) -> float:
         """Average measured power over a window (whole capture by default).
@@ -79,7 +145,7 @@ class PowerDaq:
         the requested window) is empty — a degenerate capture can never
         support a calibration-grade mean.
         """
-        times, watts = self.samples()
+        times, watts = self._built()
         if times.size == 0:
             raise CalibrationError("DAQ has captured no samples")
         mask = np.ones(times.size, dtype=bool)
@@ -98,7 +164,7 @@ class PowerDaq:
         single-sample captures: the trapezoid rule has no interval to
         integrate, and silently returning 0 J would poison energy fits.
         """
-        times, watts = self.samples()
+        times, watts = self._built()
         if times.size < 2:
             raise CalibrationError(
                 "need at least two DAQ samples to integrate energy"

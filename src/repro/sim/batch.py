@@ -45,8 +45,9 @@ from repro.kernel.cpufreq.policy import DvfsPolicy
 from repro.kernel.cpuidle import IDLE_BUSY_THRESHOLD
 from repro.kernel.gpu import GpuTickResult
 from repro.kernel.kernel import GPU_DOMAIN, KernelTickResult
-from repro.kernel.scheduler import ClusterUsage, _weighted_water_fill, nice_to_weight
+from repro.kernel.scheduler import ClusterUsage, _weighted_water_fill
 from repro.obs.profiler import NULL_PROFILER, StepProfiler
+from repro.power.daq import sample_window
 from repro.sim.clock import ticks_for_duration
 from repro.sim.engine import Simulation
 from repro.soc.platform import BOARD_RAIL
@@ -111,43 +112,24 @@ class _FireSchedule:
 
 
 def _daq_schedule(next_sample_s: float, rate_hz: float, k0: int, n: int, dt: float):
-    """Per-tick DAQ sample layout for local ticks ``[0, n)``.
+    """Per-tick DAQ sample windows for local ticks ``[0, n)``.
 
-    Replicates :meth:`repro.power.daq.PowerDaq.capture` arithmetic —
-    including the persisted clamp of ``_next_sample_s`` on empty windows and
-    the ``times < end - 1e-12`` filter.  The time grid is seed-independent,
-    so one schedule serves every scenario of a segment.  Returns
-    ``(offsets, times, next_after)``: ``offsets[j]`` is the cumulative
-    sample count before local tick ``j`` (length ``n + 1``), ``times`` the
-    concatenated sample times, and ``next_after[j]`` the value of
-    ``_next_sample_s`` after tick ``j``.
+    Lays the windows out with :func:`repro.power.daq.sample_window`, the
+    arithmetic of :meth:`~repro.power.daq.PowerDaq.capture`.  The time grid
+    is seed-independent, so one schedule serves every scenario of a
+    segment.  Returns ``(starts, counts, next_after)``: the first sample
+    time and sample count of each tick's window, and the instrument's next
+    sample time after tick ``j``.
     """
     period = 1.0 / rate_hz
+    starts = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
-    chunks = []
     next_after = np.zeros(n)
     cur = next_sample_s
     for j in range(n):
-        start_s = (k0 + j) * dt
-        end_s = start_s + dt
-        if cur < start_s:
-            cur = start_s
-        count = int((end_s - cur) / period) + 1
-        if cur >= end_s:
-            count = 0
-        if count > 0:
-            times = cur + period * np.arange(count)
-            times = times[times < end_s - 1e-12]
-            count = times.size
-            if count > 0:
-                chunks.append(times)
-                cur = float(times[-1]) + period
-        counts[j] = count
+        starts[j], counts[j], cur = sample_window(cur, (k0 + j) * dt, dt, period)
         next_after[j] = cur
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    times_all = np.concatenate(chunks) if chunks else np.empty(0)
-    return offsets, times_all, next_after
+    return starts, counts, next_after
 
 
 class _FastSim:
@@ -327,7 +309,7 @@ class BatchSimulation:
                 if t.runnable and t.cluster == cname
             ]
             ceilings = [t.demand_cycles(per_core) for t in runnable]
-            weights = [nice_to_weight(t.nice) for t in runnable]
+            weights = [t.weight for t in runnable]
             grants = _weighted_water_fill(capacity, ceilings, weights)
             used = 0.0
             per_task: dict[int, float] = {}
@@ -526,7 +508,8 @@ class BatchSimulation:
         ))
         daq = sim.daq
         daq_part = (
-            None if daq is None else (daq._rate, daq._noise, daq._next_sample_s)
+            None if daq is None
+            else (daq.sample_rate_hz, daq.noise_std_w, daq.next_sample_s)
         )
         rec.group_key = (sim.platform.name, tuple(timers), daq_part, len(cols))
         return rec
@@ -551,8 +534,7 @@ class BatchSimulation:
         hit = self._probe_cache.get(key)
         if hit is not None:
             return hit
-        probe = DvfsPolicy(policy.name, policy.opps)
-        probe._cur_freq_hz = policy._cur_freq_hz
+        probe = DvfsPolicy(policy.name, policy.opps, initial_freq_hz=policy.cur_freq_hz)
         probe._user_min_hz = policy._user_min_hz
         probe._user_max_hz = policy._user_max_hz
         probe._thermal_max_hz = policy._thermal_max_hz
@@ -654,10 +636,10 @@ class BatchSimulation:
                 *(s.fires for s in zone_fires.values()),
             )
             daq0 = sim0.daq
-            daq_offsets = daq_times = daq_next = batt_buf = None
+            daq_starts = daq_counts = daq_next = batt_buf = None
             if daq0 is not None:
-                daq_offsets, daq_times, daq_next = _daq_schedule(
-                    daq0._next_sample_s, daq0._rate, k0, n, dt
+                daq_starts, daq_counts, daq_next = _daq_schedule(
+                    daq0.next_sample_s, daq0.sample_rate_hz, k0, n, dt
                 )
                 batt_buf = np.empty((n, len(fast)))
             # Per-scenario discrete thermal systems, unpacked for a buffered
@@ -724,18 +706,13 @@ class BatchSimulation:
                 j_done
             )
             if daq0 is not None and sim.daq is not None and j_done > 0:
-                daq = sim.daq
-                total = int(daq_offsets[j_done])
-                if total > 0:
-                    counts = np.diff(daq_offsets[: j_done + 1])
-                    values = np.repeat(batt_buf[:j_done, i], counts)
-                    if daq._noise > 0.0:
-                        values = values + daq._rng.normal(
-                            0.0, daq._noise, size=total
-                        )
-                    daq._chunks.append(values)
-                    daq._time_chunks.append(daq_times[:total].copy())
-                daq._next_sample_s = float(daq_next[j_done - 1])
+                sampled = daq_counts[:j_done] > 0
+                sim.daq.extend(
+                    daq_starts[:j_done][sampled].tolist(),
+                    daq_counts[:j_done][sampled].tolist(),
+                    batt_buf[:j_done, i][sampled].tolist(),
+                    float(daq_next[j_done - 1]),
+                )
 
         live = list(fast)
         live_rows = np.array([rec.row for rec in live])
@@ -787,7 +764,7 @@ class BatchSimulation:
             demoted = []
             for rec in live:
                 sim = rec.sim
-                sim.clock._tick = k
+                sim.clock.seek(k)
                 kernel = sim.kernel
                 # 0 = stay fast, 1 = run the whole tick scalar, 2 = the
                 # governor/zone phases already ran — complete with the rest.
@@ -925,7 +902,7 @@ class BatchSimulation:
                         with self._ph_record:
                             for rec in live:
                                 sim = rec.sim
-                                sim.clock._tick = k
+                                sim.clock.seek(k)
                                 watts = {
                                     rail: float(rail_vecs[rail][rec.row])
                                     for rail in rail_order
@@ -946,4 +923,4 @@ class BatchSimulation:
             for rec in live:
                 sync_rec(rec, n)
                 rec.sim.thermal.detach_state()
-                rec.sim.clock._tick = k0 + n
+                rec.sim.clock.seek(k0 + n)

@@ -35,6 +35,10 @@ class Clock:
     ----------
     dt:
         Step size in seconds.  Must be positive.
+
+    ``now`` is the current simulation time in seconds, ``tick * dt``.  It is
+    a stored value, refreshed whenever the tick changes, because every
+    layer of a step reads it; treat it as read-only.
     """
 
     def __init__(self, dt: float = 0.01) -> None:
@@ -42,6 +46,7 @@ class Clock:
             raise ConfigurationError(f"clock step must be positive, got {dt}")
         self._dt = float(dt)
         self._tick = 0
+        self.now = 0.0
 
     @property
     def dt(self) -> float:
@@ -53,15 +58,21 @@ class Clock:
         """Number of completed steps since construction."""
         return self._tick
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._tick * self._dt
-
     def advance(self) -> float:
         """Advance one step and return the new time."""
         self._tick += 1
+        self.now = self._tick * self._dt
         return self.now
+
+    def seek(self, tick: int) -> None:
+        """Set the completed-step count directly.
+
+        For steppers that run a scenario's ticks outside its own
+        :meth:`~repro.sim.engine.Simulation.step` and must leave the clock
+        where those steps would have.
+        """
+        self._tick = tick
+        self.now = tick * self._dt
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clock(dt={self._dt}, now={self.now:.3f})"

@@ -35,7 +35,11 @@ class OppTable:
     Frequencies must be strictly increasing and voltages non-decreasing —
     running faster never takes less voltage on real silicon, and several
     governor algorithms (notably IPA's power tables) rely on this
-    monotonicity.
+    monotonicity.  Adjacent frequencies must also lie more than 0.5 Hz
+    apart, the matching tolerance of every lookup, so each OPP is matched
+    by its own frequency alone.  That makes :meth:`index_of` on an exact
+    OPP frequency a dict lookup, and lets DVFS policies keep the index of
+    their current OPP instead of searching for it.
     """
 
     def __init__(self, points: Iterable[OperatingPoint]) -> None:
@@ -43,10 +47,10 @@ class OppTable:
         if len(pts) < 2:
             raise ConfigurationError("an OPP table needs at least two points")
         for prev, cur in zip(pts, pts[1:]):
-            if cur.freq_hz <= prev.freq_hz:
+            if cur.freq_hz - prev.freq_hz <= 0.5:
                 raise ConfigurationError(
-                    f"OPP frequencies must be strictly increasing: "
-                    f"{cur.freq_hz} after {prev.freq_hz}"
+                    f"OPP frequencies must be strictly increasing "
+                    f"(more than 0.5 Hz apart): {cur.freq_hz} after {prev.freq_hz}"
                 )
             if cur.voltage_v < prev.voltage_v:
                 raise ConfigurationError(
@@ -54,6 +58,8 @@ class OppTable:
                     f"{cur.voltage_v} after {prev.voltage_v}"
                 )
         self._points = pts
+        self._index = {p.freq_hz: i for i, p in enumerate(pts)}
+        self._khz = tuple(hz_to_khz(p.freq_hz) for p in pts)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "OppTable":
@@ -93,10 +99,13 @@ class OppTable:
 
     def frequencies_khz(self) -> tuple[int, ...]:
         """All frequencies in kilohertz (the cpufreq sysfs unit), ascending."""
-        return tuple(hz_to_khz(p.freq_hz) for p in self._points)
+        return self._khz
 
     def index_of(self, freq_hz: float) -> int:
-        """Index of the exact frequency ``freq_hz``; raises if absent."""
+        """Index of the OPP within 0.5 Hz of ``freq_hz``; raises if absent."""
+        index = self._index.get(freq_hz)
+        if index is not None:
+            return index
         for i, p in enumerate(self._points):
             if abs(p.freq_hz - freq_hz) <= 0.5:
                 return i
@@ -106,18 +115,29 @@ class OppTable:
         """Supply voltage of the exact OPP at ``freq_hz``."""
         return self._points[self.index_of(freq_hz)].voltage_v
 
+    def floor_index(self, freq_hz: float) -> int:
+        """Index of :meth:`floor`'s OPP."""
+        chosen = 0
+        for i, p in enumerate(self._points):
+            if p.freq_hz <= freq_hz + 0.5:
+                chosen = i
+            else:
+                break
+        return chosen
+
+    def ceil_index(self, freq_hz: float) -> int:
+        """Index of :meth:`ceil`'s OPP."""
+        for i, p in enumerate(self._points):
+            if p.freq_hz + 0.5 >= freq_hz:
+                return i
+        return len(self._points) - 1
+
     def floor(self, freq_hz: float) -> OperatingPoint:
         """Highest OPP whose frequency does not exceed ``freq_hz``.
 
         Clamps to the lowest OPP when ``freq_hz`` is below the table.
         """
-        chosen = self._points[0]
-        for p in self._points:
-            if p.freq_hz <= freq_hz + 0.5:
-                chosen = p
-            else:
-                break
-        return chosen
+        return self._points[self.floor_index(freq_hz)]
 
     def ceil(self, freq_hz: float) -> OperatingPoint:
         """Lowest OPP whose frequency is at least ``freq_hz``.
@@ -126,10 +146,7 @@ class OppTable:
         Frequency governors use this to pick the slowest speed that still
         meets a demand.
         """
-        for p in self._points:
-            if p.freq_hz + 0.5 >= freq_hz:
-                return p
-        return self._points[-1]
+        return self._points[self.ceil_index(freq_hz)]
 
     def clamp(self, freq_hz: float) -> float:
         """Clamp an arbitrary frequency into the table's range."""

@@ -9,6 +9,7 @@ positive feedback loop the paper's stability analysis (Section IV.A) studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -58,8 +59,6 @@ def leakage_power_w(params: LeakageParams, temp_k: float, voltage_v: float) -> f
     """Temperature-dependent leakage: ``kappa * T^2 * exp(-beta/T) * V/Vref``."""
     if temp_k <= 0.0:
         raise SimulationError(f"non-physical temperature {temp_k} K")
-    import math
-
     return (
         params.kappa_w_per_k2
         * temp_k
@@ -97,11 +96,30 @@ class ComponentActivity:
     idle_scale: float = 1.0
 
 
+class _Component:
+    """Per-tick constants of one DVFS component (a CPU cluster or the GPU)."""
+
+    __slots__ = ("name", "rail", "opps", "max_busy", "idle_w", "ceff", "volts", "leakage")
+
+    def __init__(self, spec: ClusterSpec | GpuSpec, max_busy: float) -> None:
+        self.name = spec.name
+        self.rail = spec.rail
+        self.opps = spec.opps
+        self.max_busy = max_busy
+        self.idle_w = spec.idle_power_w
+        self.ceff = spec.ceff_w_per_v2hz
+        self.volts = tuple(p.voltage_v for p in spec.opps)
+        self.leakage = spec.leakage
+
+
 class SocPowerModel:
     """Computes per-rail power for a set of component activities.
 
     Built from the component specs of a platform; stateless apart from those
-    specs, so one instance can serve many simulations.
+    specs, so one instance can serve many simulations.  The components are
+    numbered in :attr:`components` order — the clusters as given, then the
+    GPU — for the per-tick :meth:`component_power_w`, which reads the
+    voltage by OPP index instead of searching the table by frequency.
     """
 
     def __init__(
@@ -115,50 +133,84 @@ class SocPowerModel:
         self._clusters = dict(clusters)
         self._gpu = gpu
         self._memory = memory
+        self._components = tuple(
+            _Component(spec, spec.n_cores) for spec in self._clusters.values()
+        ) + (_Component(gpu, 1.0),)
+        self._cluster_index = {name: k for k, name in enumerate(self._clusters)}
+
+    @property
+    def components(self) -> tuple[str, ...]:
+        """Component names in index order: the clusters, then the GPU."""
+        return tuple(c.name for c in self._components)
+
+    def _busy_error(self, comp: _Component, busy_units: float) -> SimulationError:
+        if comp is self._components[-1]:
+            return SimulationError(f"gpu busy_units must be <= 1, got {busy_units}")
+        return SimulationError(
+            f"cluster {comp.name!r}: busy_units {busy_units} exceeds "
+            f"{comp.max_busy} cores"
+        )
+
+    @staticmethod
+    def _dyn_leak(
+        comp: _Component, voltage: float, freq_hz: float, busy_units: float,
+        temp_k: float, idle_scale: float,
+    ) -> tuple[float, float]:
+        """Dynamic and leakage watts of a powered component: the one place
+        the ``CV²f`` + leakage arithmetic is assembled."""
+        dyn = comp.idle_w * idle_scale + dynamic_power_w(
+            comp.ceff, voltage, freq_hz, busy_units
+        )
+        leak = leakage_power_w(comp.leakage, temp_k, voltage)
+        if busy_units < 1e-6:
+            # A fully idle component in a deep idle state is power-gated:
+            # the gating removes leakage along with the clock tree.
+            leak *= idle_scale
+        return dyn, leak
+
+    def _sample(self, comp: _Component, activity: ComponentActivity) -> PowerSample:
+        if not activity.powered:
+            return PowerSample(0.0, 0.0)
+        if activity.busy_units > comp.max_busy + 1e-9:
+            raise self._busy_error(comp, activity.busy_units)
+        voltage = comp.volts[comp.opps.index_of(activity.freq_hz)]
+        return PowerSample(*self._dyn_leak(
+            comp, voltage, activity.freq_hz, activity.busy_units,
+            activity.temp_k, activity.idle_scale,
+        ))
 
     def cluster_power(self, name: str, activity: ComponentActivity) -> PowerSample:
         """Power of CPU cluster ``name`` under ``activity``."""
-        spec = self._clusters.get(name)
-        if spec is None:
+        k = self._cluster_index.get(name)
+        if k is None:
             raise SimulationError(f"unknown cluster {name!r}")
-        if not activity.powered:
-            return PowerSample(0.0, 0.0)
-        if activity.busy_units > spec.n_cores + 1e-9:
-            raise SimulationError(
-                f"cluster {name!r}: busy_units {activity.busy_units} exceeds "
-                f"{spec.n_cores} cores"
-            )
-        voltage = spec.opps.voltage_for(activity.freq_hz)
-        dyn = spec.idle_power_w * activity.idle_scale + dynamic_power_w(
-            spec.ceff_w_per_v2hz, voltage, activity.freq_hz, activity.busy_units
-        )
-        leak = leakage_power_w(spec.leakage, activity.temp_k, voltage)
-        if activity.busy_units < 1e-6:
-            # A fully idle cluster in a deep cpuidle state is power-gated:
-            # the gating removes leakage along with the clock tree.
-            leak *= activity.idle_scale
-        return PowerSample(dyn, leak)
+        return self._sample(self._components[k], activity)
 
     def gpu_power(self, activity: ComponentActivity) -> PowerSample:
         """Power of the GPU under ``activity`` (busy_units in [0, 1])."""
-        if not activity.powered:
-            return PowerSample(0.0, 0.0)
-        if activity.busy_units > 1.0 + 1e-9:
-            raise SimulationError(
-                f"gpu busy_units must be <= 1, got {activity.busy_units}"
-            )
-        spec = self._gpu
-        voltage = spec.opps.voltage_for(activity.freq_hz)
-        dyn = spec.idle_power_w * activity.idle_scale + dynamic_power_w(
-            spec.ceff_w_per_v2hz, voltage, activity.freq_hz, activity.busy_units
-        )
-        leak = leakage_power_w(spec.leakage, activity.temp_k, voltage)
-        if activity.busy_units < 1e-6:
-            leak *= activity.idle_scale
-        return PowerSample(dyn, leak)
+        return self._sample(self._components[-1], activity)
 
-    def memory_power(self, activity_fraction: float, temp_k: float) -> PowerSample:
-        """Memory power at the given activity fraction in [0, 1]."""
+    def component_power_w(
+        self, k: int, opp_index: int, freq_hz: float, busy_units: float,
+        temp_k: float, idle_scale: float,
+    ) -> float:
+        """Total watts of powered component ``k`` at OPP ``opp_index``.
+
+        The per-tick form of :meth:`cluster_power` / :meth:`gpu_power`:
+        the same checks and arithmetic, bit for bit, with the voltage read
+        by index.  ``freq_hz`` must be the frequency of that OPP.
+        """
+        comp = self._components[k]
+        if busy_units > comp.max_busy + 1e-9:
+            raise self._busy_error(comp, busy_units)
+        dyn, leak = self._dyn_leak(
+            comp, comp.volts[opp_index], freq_hz, busy_units, temp_k, idle_scale
+        )
+        return dyn + leak
+
+    def _memory_dyn_leak(
+        self, activity_fraction: float, temp_k: float
+    ) -> tuple[float, float]:
         if not 0.0 <= activity_fraction <= 1.0 + 1e-9:
             raise SimulationError(
                 f"memory activity must be in [0, 1], got {activity_fraction}"
@@ -166,7 +218,16 @@ class SocPowerModel:
         spec = self._memory
         dyn = spec.base_power_w + spec.activity_power_w * min(activity_fraction, 1.0)
         leak = leakage_power_w(spec.leakage, temp_k, spec.leakage.v_ref)
-        return PowerSample(dyn, leak)
+        return dyn, leak
+
+    def memory_power(self, activity_fraction: float, temp_k: float) -> PowerSample:
+        """Memory power at the given activity fraction in [0, 1]."""
+        return PowerSample(*self._memory_dyn_leak(activity_fraction, temp_k))
+
+    def memory_power_w(self, activity_fraction: float, temp_k: float) -> float:
+        """Total memory watts: the per-tick form of :meth:`memory_power`."""
+        dyn, leak = self._memory_dyn_leak(activity_fraction, temp_k)
+        return dyn + leak
 
     def rail_powers(
         self,

@@ -228,8 +228,9 @@ class ThermalModel:
     def step_in_place(self, p: np.ndarray) -> None:
         """Advance one step from a prebuilt power vector, updating in place.
 
-        The batch stepper's hot path: ``p`` is already in rail order (no
-        dict mapping, no validation) and the state array object is preserved
+        The engine's hot path: ``p`` is already in :attr:`rail_names` order
+        (no dict mapping, no validation — the caller checks its rails once
+        and its powers every tick) and the state array object is preserved
         so external row views stay live.  The arithmetic is exactly
         :meth:`step`'s.
         """
@@ -240,6 +241,10 @@ class ThermalModel:
     def temperature_k(self, node: str) -> float:
         """Current temperature of ``node`` in kelvin."""
         return float(self._state[self._index(node)])
+
+    def temperature_list(self) -> list[float]:
+        """Current node temperatures in kelvin, in :attr:`node_names` order."""
+        return self._state.tolist()
 
     def temperatures_k(self) -> dict[str, float]:
         """Current temperature of every node in kelvin."""

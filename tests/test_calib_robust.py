@@ -162,6 +162,32 @@ def test_missing_temperature_channel_demotes_dependent_stages():
     assert "leakage.a15" in unfitted
 
 
+#: (platform, seed) pairs whose ``harsh``-degraded excitation once made the
+#: robust ladder fit emit decreasing OPP voltages, so assembling the
+#: definition raised instead of demoting.
+HARSH_NON_MONOTONE = [
+    ("nexus6p", 2), ("odroid-xu3", 2), ("odroid-xu3-fan", 2),
+    ("snapdragon-modern", 1), ("snapdragon-modern", 2),
+]
+
+
+@pytest.mark.parametrize("name,seed", HARSH_NON_MONOTONE)
+def test_harsh_robust_fit_projects_non_monotone_ladders(name, seed):
+    trace = run_excitation(name, seed=seed)
+    degraded = BUILTIN_MODELS["harsh"].apply(trace, seed=seed)
+    fitted, report = fit_platform(degraded, robust="on")
+    assert any("running maximum" in w for w in report.warnings)
+    flagged = [
+        s for s in report.stages
+        if s.uncertainty.get("params", {}).get("opps") == "low"
+    ]
+    assert flagged and all(s.verdict == "low_confidence" for s in flagged)
+    spec = fitted.compile()
+    for table in [c.opps for c in spec.clusters] + [spec.gpu.opps]:
+        volts = [p.voltage_v for p in table]
+        assert volts == sorted(volts)
+
+
 def test_robust_off_raises_instead_of_demoting():
     trace = run_excitation("odroid-xu3", seed=1, config=FAST)
     mutated = _without_channel(trace, "volt.gpu")
