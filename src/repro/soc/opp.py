@@ -58,8 +58,9 @@ class OppTable:
                     f"{cur.voltage_v} after {prev.voltage_v}"
                 )
         self._points = pts
-        self._index = {p.freq_hz: i for i, p in enumerate(pts)}
-        self._khz = tuple(hz_to_khz(p.freq_hz) for p in pts)
+        self._freqs = tuple(p.freq_hz for p in pts)
+        self._index = {f: i for i, f in enumerate(self._freqs)}
+        self._khz = tuple(hz_to_khz(f) for f in self._freqs)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "OppTable":
@@ -95,7 +96,7 @@ class OppTable:
 
     def frequencies_hz(self) -> tuple[float, ...]:
         """All frequencies, ascending."""
-        return tuple(p.freq_hz for p in self._points)
+        return self._freqs
 
     def frequencies_khz(self) -> tuple[int, ...]:
         """All frequencies in kilohertz (the cpufreq sysfs unit), ascending."""

@@ -105,6 +105,9 @@ class ThermalModel:
             self._bd = gain @ b_mat
             self._wd = gain @ w_vec
         self._a_inv = a_inv
+        self._wd_ambient = self._wd * self._ambient_k
+        self._buf_a = np.empty(len(self._nodes))
+        self._buf_b = np.empty(len(self._nodes))
 
     @property
     def dt_s(self) -> float:
@@ -163,6 +166,7 @@ class ThermalModel:
     def set_ambient(self, ambient_k: float) -> None:
         """Change the ambient temperature (takes effect next step)."""
         self._ambient_k = float(ambient_k)
+        self._wd_ambient = self._wd * self._ambient_k
 
     @property
     def ambient_conductance_scale(self) -> float:
@@ -222,21 +226,21 @@ class ThermalModel:
 
     def step(self, rail_powers: Mapping[str, float]) -> None:
         """Advance one step with the given per-rail powers held constant."""
-        p = self._power_vector(rail_powers)
-        self._state = self._ad @ self._state + self._bd @ p + self._wd * self._ambient_k
+        self.step_in_place(self._power_vector(rail_powers))
 
     def step_in_place(self, p: np.ndarray) -> None:
         """Advance one step from a prebuilt power vector, updating in place.
 
-        The engine's hot path: ``p`` is already in :attr:`rail_names` order
-        (no dict mapping, no validation — the caller checks its rails once
-        and its powers every tick) and the state array object is preserved
-        so external row views stay live.  The arithmetic is exactly
-        :meth:`step`'s.
+        ``T' = Ad·T + Bd·p + wd·T_amb``, evaluated in that order into
+        preallocated buffers.  The engine's hot path: ``p`` is already in
+        :attr:`rail_names` order (no dict mapping, no validation — the
+        caller checks its rails once and its powers every tick) and the
+        state array object is preserved so external row views stay live.
         """
-        self._state[:] = (
-            self._ad @ self._state + self._bd @ p + self._wd * self._ambient_k
-        )
+        np.dot(self._ad, self._state, out=self._buf_a)
+        np.dot(self._bd, p, out=self._buf_b)
+        np.add(self._buf_a, self._buf_b, out=self._buf_a)
+        np.add(self._buf_a, self._wd_ambient, out=self._state)
 
     def temperature_k(self, node: str) -> float:
         """Current temperature of ``node`` in kelvin."""
