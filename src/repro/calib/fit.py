@@ -805,7 +805,7 @@ def _fit_ladder_robust(prior_freqs_mhz, f_mhz, volts, warnings, what: str):
         groups.setdefault(round(float(f), 3), []).append(float(v))
     freqs = sorted(groups)
     medians = [float(np.median(groups[f])) for f in freqs]
-    monotone = [float(v) for v in np.maximum.accumulate(medians)] if medians else []
+    monotone = np.maximum.accumulate(np.asarray(medians, dtype=float)).tolist()
     projected = monotone != medians
     if projected:
         warnings.append(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable, Hashable, Mapping
 
 from repro.errors import ConfigurationError, SchedulingError
@@ -258,10 +257,6 @@ class Kernel:
         self._cluster_online: dict[str, bool] = {
             c.name: True for c in platform.clusters
         }
-        #: Live read-only views of the per-tick idle scales and the cluster
-        #: power states, for the engine's power assembly.
-        self.idle_scale_view = MappingProxyType(self._idle_scales)
-        self.online_view = MappingProxyType(self._cluster_online)
         self._cooling_states: dict[str, int] = {}
         self._throttle_since_s: dict[str, float] = {}
         self._daemons: list[tuple[str, PeriodicTimer, Callable[[float], None]]] = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
 from repro.errors import SchedulingError
-from repro.kernel.task import Task, TaskState, nice_to_weight
+from repro.kernel.task import Task, TaskState, nice_to_weight  # noqa: F401 (re-export)
 from repro.soc.components import ClusterSpec
 
 

@@ -74,8 +74,6 @@ class PowerStage:
         The returned dicts are owned by the stage and rewritten every tick.
         """
         kernel = self._kernel
-        online = kernel.online_view
-        scales = kernel.idle_scale_view
         model = self._model
         temps = self._thermal.temperature_list()
         vector = self.vector
@@ -90,7 +88,7 @@ class PowerStage:
                 busy_cores = usage[name].busy_cores
                 total_busy += busy_cores
                 busy = min(busy_cores, n_cores)
-                powered = online[name]
+                powered = kernel.cluster_online(name)
             else:
                 busy = min(kres.gpu.busy_fraction, 1.0)
                 powered = True
@@ -101,7 +99,7 @@ class PowerStage:
                 if policy.cur_freq_hz != freq:  # repro-lint: disable=R401
                     index = policy.opps.index_of(freq)
                 watts = model.component_power_w(
-                    k, index, freq, busy, temps[node], scales[name]
+                    k, index, freq, busy, temps[node], kernel.idle_scale(name)
                 )
             else:
                 watts = 0.0

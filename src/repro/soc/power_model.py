@@ -116,10 +116,10 @@ class SocPowerModel:
     """Computes per-rail power for a set of component activities.
 
     Built from the component specs of a platform; stateless apart from those
-    specs, so one instance can serve many simulations.  The components are
-    numbered in :attr:`components` order — the clusters as given, then the
-    GPU — for the per-tick :meth:`component_power_w`, which reads the
-    voltage by OPP index instead of searching the table by frequency.
+    specs, so one instance can serve many simulations.  For the per-tick
+    :meth:`component_power_w`, which reads the voltage by OPP index instead
+    of searching the table by frequency, the components are numbered in
+    order: the clusters as given, then the GPU.
     """
 
     def __init__(
@@ -137,11 +137,6 @@ class SocPowerModel:
             _Component(spec, spec.n_cores) for spec in self._clusters.values()
         ) + (_Component(gpu, 1.0),)
         self._cluster_index = {name: k for k, name in enumerate(self._clusters)}
-
-    @property
-    def components(self) -> tuple[str, ...]:
-        """Component names in index order: the clusters, then the GPU."""
-        return tuple(c.name for c in self._components)
 
     def _busy_error(self, comp: _Component, busy_units: float) -> SimulationError:
         if comp is self._components[-1]:
