@@ -13,12 +13,11 @@ CALIB_DIR ?= /tmp/repro-calib-smoke
 LINT_CACHE ?= /tmp/repro-lint-cache.json
 
 # perf-compare: the revision to compare the working tree against, the
-# perfbench workload, runs per side, seconds per run, and where the BASE
-# worktree and both result files go.
+# perfbench workload, runs per side, and where the BASE worktree and both
+# result files go.  The run length is BENCHMARK.json's run_seconds.
 BASE ?= HEAD
 WORKLOAD ?= paper
 RUNS ?= 5
-PERF_SECONDS ?= 25
 PERF_DIR ?= /tmp/repro-perf-compare
 
 .PHONY: lint lint-fast lint-full test check campaign-smoke chaos-smoke \
@@ -114,20 +113,25 @@ engine-bench:
 	  $(PYTHON) -m pytest -x -q bench_engine_speedup.py
 
 # Compare the repository benchmark (perfbench/) at BASE against the working
-# tree: check BASE out into a temporary git worktree, alternate untraced
-# runs of the two sides with the same seeds (1..RUNS), then print
+# tree: check BASE out into a temporary git worktree, run both sides untraced
+# with the same seeds (1..RUNS) for BENCHMARK.json's run_seconds, BASE first
+# on odd seeds and the working tree first on even ones, then print
 # perfbench/compare.py for the two result files.  Example:
 #   make perf-compare BASE=main WORKLOAD=paper RUNS=5
 perf-compare:
 	rm -rf $(PERF_DIR) && mkdir -p $(PERF_DIR)
+	git worktree prune
 	git worktree add --detach $(PERF_DIR)/base $(BASE)
 	trap 'git worktree remove --force $(PERF_DIR)/base' EXIT; \
+	secs=$$($(PYTHON) -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])'); \
+	bench() { (cd $$1 && $(PYTHON) perfbench/run.py --workload $(WORKLOAD) \
+	  --seed $$seed --seconds $$secs --trace 0 --out $(PERF_DIR)/$$2.jsonl); }; \
 	for seed in $$(seq 1 $(RUNS)); do \
-	  (cd $(PERF_DIR)/base && $(PYTHON) perfbench/run.py --workload $(WORKLOAD) \
-	    --seed $$seed --seconds $(PERF_SECONDS) --trace 0 \
-	    --out $(PERF_DIR)/base.jsonl) || exit 1; \
-	  $(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $$seed \
-	    --seconds $(PERF_SECONDS) --trace 0 --out $(PERF_DIR)/head.jsonl || exit 1; \
+	  if [ $$((seed % 2)) -eq 1 ]; then \
+	    bench $(PERF_DIR)/base base && bench $(CURDIR) head || exit 1; \
+	  else \
+	    bench $(CURDIR) head && bench $(PERF_DIR)/base base || exit 1; \
+	  fi; \
 	done; \
 	$(PYTHON) perfbench/compare.py $(PERF_DIR)/base.jsonl $(PERF_DIR)/head.jsonl
 

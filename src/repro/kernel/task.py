@@ -83,8 +83,16 @@ class Task:
     @nice.setter
     def nice(self, value: int) -> None:
         self._nice = value
-        #: Share weight of :func:`nice_to_weight`, cached for the scheduler.
-        self.weight = nice_to_weight(value)
+        self._weight = nice_to_weight(value)
+
+    @property
+    def weight(self) -> float:
+        """Share weight, :func:`nice_to_weight` of :attr:`nice`.
+
+        Stored by the ``nice`` setter, the only place it changes, so the
+        scheduler does not recompute the power on every tick.
+        """
+        return self._weight
 
     # ------------------------------------------------------------------ work
 

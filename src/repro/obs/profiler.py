@@ -8,17 +8,18 @@ engine) accumulates its own wall-clock total.  The resulting :class:`ProfileRepo
 the time goes — the measurement substrate any optimisation of the hot loop
 must be benchmarked against.
 
-Phases may be entered several times per step; totals simply accumulate.
-The profiler is deliberately dependency-free and cheap: two
-``perf_counter`` calls per phase entry.  Each accumulator is a context
-manager, and also offers ``start()``/``stop()`` for the scalar hot loop,
-where a pair of method calls costs a fraction of a ``with`` block.
+Phases may be entered several times per step (the power-model phase brackets
+the thermal integration); totals simply accumulate.  The profiler is
+deliberately dependency-free and cheap: two ``perf_counter`` calls per
+phase entry.  Each accumulator is a context manager, and also offers
+``start()``/``stop()`` for the scalar hot loop, where a pair of method
+calls costs a fraction of a ``with`` block.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.errors import AnalysisError
 from repro.units import seconds_to_microseconds, seconds_to_milliseconds
@@ -58,19 +59,19 @@ class _PhaseAccumulator:
 
     def start(self) -> None:
         """Open one entry of the phase."""
-        self._t0 = perf_counter()
+        self._t0 = time.perf_counter()
 
     def stop(self) -> None:
         """Close the entry opened by :meth:`start`."""
-        self.total_s += perf_counter() - self._t0
+        self.total_s += time.perf_counter() - self._t0
         self.calls += 1
 
     def __enter__(self) -> "_PhaseAccumulator":
-        self._t0 = perf_counter()
+        self._t0 = time.perf_counter()
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.total_s += perf_counter() - self._t0
+    def __exit__(self, *exc) -> None:
+        self.total_s += time.perf_counter() - self._t0
         self.calls += 1
 
 
@@ -86,19 +87,19 @@ class _StepAccumulator:
 
     def start(self) -> None:
         """Open one step."""
-        self._t0 = perf_counter()
+        self._t0 = time.perf_counter()
 
     def stop(self) -> None:
         """Close the step opened by :meth:`start`."""
-        self.total_s += perf_counter() - self._t0
+        self.total_s += time.perf_counter() - self._t0
         self.count += 1
 
     def __enter__(self) -> "_StepAccumulator":
-        self._t0 = perf_counter()
+        self._t0 = time.perf_counter()
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.total_s += perf_counter() - self._t0
+    def __exit__(self, *exc) -> None:
+        self.total_s += time.perf_counter() - self._t0
         self.count += 1
 
 
@@ -178,7 +179,7 @@ class NullProfiler:
         def __enter__(self):
             return self
 
-        def __exit__(self, exc_type, exc, tb):
+        def __exit__(self, *exc):
             return None
 
     _HANDLE = _Null()

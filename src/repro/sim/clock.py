@@ -37,8 +37,9 @@ class Clock:
         Step size in seconds.  Must be positive.
 
     ``now`` is the current simulation time in seconds, ``tick * dt``.  It is
-    a stored value, refreshed whenever the tick changes, because every
-    layer of a step reads it; treat it as read-only.
+    stored in ``_now`` by :meth:`advance` and :meth:`seek`, the only two
+    places the tick changes, rather than recomputed on every read, because
+    every layer of a step reads it.
     """
 
     def __init__(self, dt: float = 0.01) -> None:
@@ -46,7 +47,7 @@ class Clock:
             raise ConfigurationError(f"clock step must be positive, got {dt}")
         self._dt = float(dt)
         self._tick = 0
-        self.now = 0.0
+        self._now = 0.0
 
     @property
     def dt(self) -> float:
@@ -58,11 +59,16 @@ class Clock:
         """Number of completed steps since construction."""
         return self._tick
 
+    @property
+    def now(self) -> float:
+        """Current simulation time in seconds."""
+        return self._now
+
     def advance(self) -> float:
         """Advance one step and return the new time."""
         self._tick += 1
-        self.now = self._tick * self._dt
-        return self.now
+        self._now = self._tick * self._dt
+        return self._now
 
     def seek(self, tick: int) -> None:
         """Set the completed-step count directly.
@@ -72,7 +78,7 @@ class Clock:
         where those steps would have.
         """
         self._tick = tick
-        self.now = tick * self._dt
+        self._now = tick * self._dt
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clock(dt={self._dt}, now={self.now:.3f})"
@@ -111,7 +117,7 @@ class PeriodicTimer:
         Must be called at least once per clock step; skipping steps would
         make the timer fire late (but never more than once per poll).
         """
-        now = self._clock.now
+        now = self._clock._now
         if now + 1e-12 < self._next_deadline:
             return False
         # Catch up without firing multiple times for one poll.
