@@ -14,15 +14,19 @@ LINT_CACHE ?= /tmp/repro-lint-cache.json
 
 # perf-compare: the revision to compare the working tree against, the
 # perfbench workload, runs per side, and where the BASE worktree and both
-# result files go.  The run length is BENCHMARK.json's run_seconds.
+# result files go.  The run length is BENCHMARK.json's run_seconds.  A
+# speed-up claim needs at least ten alternating pairs (perfbench/README.md),
+# so that is the default.
 BASE ?= HEAD
 WORKLOAD ?= paper
-RUNS ?= 5
+RUNS ?= 10
 PERF_DIR ?= /tmp/repro-perf-compare
+
+BENCH_SMOKE_DIR ?= /tmp/repro-bench-smoke
 
 .PHONY: lint lint-fast lint-full test check campaign-smoke chaos-smoke \
 	telemetry-smoke validate-platforms calib-smoke calib-robust-smoke \
-	engine-bench perf-compare
+	engine-bench perf-compare bench-smoke
 
 lint:
 	$(PYTHON) -m repro lint
@@ -117,7 +121,7 @@ engine-bench:
 # with the same seeds (1..RUNS) for BENCHMARK.json's run_seconds, BASE first
 # on odd seeds and the working tree first on even ones, then print
 # perfbench/compare.py for the two result files.  Example:
-#   make perf-compare BASE=main WORKLOAD=paper RUNS=5
+#   make perf-compare BASE=main WORKLOAD=paper RUNS=10
 perf-compare:
 	rm -rf $(PERF_DIR) && mkdir -p $(PERF_DIR)
 	git worktree prune
@@ -135,4 +139,17 @@ perf-compare:
 	done; \
 	$(PYTHON) perfbench/compare.py $(PERF_DIR)/base.jsonl $(PERF_DIR)/head.jsonl
 
-check: lint validate-platforms test campaign-smoke chaos-smoke telemetry-smoke calib-smoke calib-robust-smoke engine-bench
+# Run every BENCHMARK.json workload once, traced, for its run_seconds, and
+# fail unless perfbench reports the run correct: every unit passed, the
+# output digests of all repetitions agree and the traced counts repeat.
+bench-smoke:
+	rm -rf $(BENCH_SMOKE_DIR) && mkdir -p $(BENCH_SMOKE_DIR)
+	secs=$$($(PYTHON) -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])'); \
+	for w in $$($(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+	  $(PYTHON) perfbench/run.py --workload $$w --seed 1 --trace 1 --seconds $$secs \
+	    --out $(BENCH_SMOKE_DIR)/$$w.jsonl | tail -n 1 \
+	  | $(PYTHON) -c "import json,sys; r=json.loads(sys.stdin.read()); assert r['correct'], {k: r[k] for k in ('attempted', 'failed')}; print('bench-smoke: $$w correct')" \
+	  || exit 1; \
+	done
+
+check: lint validate-platforms test campaign-smoke chaos-smoke telemetry-smoke calib-smoke calib-robust-smoke engine-bench bench-smoke

@@ -99,7 +99,15 @@ class GpuDevice:
         remaining = capacity
         completed: list[Hashable] = []
         owner_cycles: dict[str, float] = {}
-        if self.scheduling == "fifo":
+        if len(self._queues) == 1:
+            # One owner: both modes are one drain of its FIFO.  As in the
+            # fair loop, a drain that used <= 1e-9 cycles leaves
+            # ``remaining`` alone; FIFO always subtracts.
+            (owner,) = self._queues
+            used = self._drain_owner(owner, remaining, completed, owner_cycles)
+            if used > 1e-9 or self.scheduling == "fifo":
+                remaining -= used
+        elif self.scheduling == "fifo":
             for owner in list(self._queues):
                 remaining -= self._drain_owner(
                     owner, remaining, completed, owner_cycles

@@ -264,6 +264,20 @@ class Kernel:
             self._install_hotplug(self.config.hotplug)
 
         self._register_metrics()
+        # What the governor phase touches per domain, resolved once.  The
+        # governor itself is looked up per fire: ``set_cpu_governor`` swaps it.
+        self._governor_domains = tuple(
+            (
+                domain,
+                self._governor_timers[domain],
+                self.policies[domain],
+                self._m_gov_updates[domain],
+                self._m_gov_latency[domain],
+                self._m_gov_freq_changes[domain],
+            )
+            for domain in self.policies
+        )
+        self._domain_policies = tuple(self.policies.items())
 
         from repro.kernel.wiring import build_fs  # deferred: avoids import cycle
 
@@ -587,7 +601,7 @@ class Kernel:
 
     def current_freqs_hz(self) -> dict[str, float]:
         """Current frequency of every DVFS domain."""
-        return {name: p.cur_freq_hz for name, p in self.policies.items()}
+        return {name: p.cur_freq_hz for name, p in self._domain_policies}
 
     def tick(self, now_s: float, dt_s: float) -> KernelTickResult:
         """Advance the OS by one simulation step.
@@ -602,24 +616,33 @@ class Kernel:
         return self._phase_work(now_s, dt_s)
 
     def _phase_governors(self, now_s: float) -> None:
-        """Poll governor timers and run the due DVFS governors."""
-        for domain, timer in self._governor_timers.items():
+        """Poll governor timers and run the due DVFS governors.
+
+        Every evaluation is counted and timed; only one that changed the
+        frequency leaves a ``governor.update`` span.
+        """
+        governors = self.governors
+        for (
+            domain, timer, policy, updates, latency, freq_changes
+        ) in self._governor_domains:
             if timer.poll():
-                policy = self.policies[domain]
                 before_hz = policy.cur_freq_hz
-                with self.spans.span("governor.update", domain=domain) as span:
-                    t0 = time.perf_counter()
-                    self.governors[domain].update(policy, now_s)
-                    elapsed_s = time.perf_counter() - t0
-                    span.set(
-                        freq_before_hz=before_hz, freq_after_hz=policy.cur_freq_hz
-                    )
-                self._m_gov_updates[domain].inc()
-                self._m_gov_latency[domain].observe(elapsed_s)
+                t0 = time.perf_counter()
+                governors[domain].update(policy, now_s)
+                elapsed_s = time.perf_counter() - t0
+                updates.inc()
+                latency.observe(elapsed_s)
+                after_hz = policy.cur_freq_hz
                 # Snapshot identity check: either the governor changed the
                 # frequency or it did not; no arithmetic dust can creep in.
-                if policy.cur_freq_hz != before_hz:  # repro-lint: disable=R401
-                    self._m_gov_freq_changes[domain].inc()
+                if after_hz != before_hz:  # repro-lint: disable=R401
+                    freq_changes.inc()
+                    self.spans.instant(
+                        "governor.update",
+                        domain=domain,
+                        freq_before_hz=before_hz,
+                        freq_after_hz=after_hz,
+                    )
 
     def _phase_zones(self, now_s: float) -> None:
         """Poll thermal-zone timers and run the due zone polls."""
@@ -639,10 +662,13 @@ class Kernel:
 
     def _phase_work(self, now_s: float, dt_s: float) -> KernelTickResult:
         """Cooling scan, scheduling, GPU, and DVFS/idle accounting."""
+        cooling_states = self._cooling_states
         for device in self.cooling_devices:
-            last = self._cooling_states.get(device.name)
+            last = cooling_states.get(device.name)
             cur = device.cur_state
-            if last is not None and cur != last:
+            if cur == last:
+                continue
+            if last is not None:
                 self.tracer.emit(
                     now_s, "thermal", "cooling_state",
                     f"{device.name} {last} -> {cur}",
@@ -662,7 +688,7 @@ class Kernel:
                         self._m_throttle_duration[device.name].observe(
                             now_s - start
                         )
-            self._cooling_states[device.name] = cur
+            cooling_states[device.name] = cur
 
         freqs = self.current_freqs_hz()
         # Offline clusters run at 0 Hz; with every cluster online the

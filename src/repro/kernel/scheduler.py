@@ -81,6 +81,22 @@ def _weighted_water_fill(
     return allocation
 
 
+def _lone_grant(capacity: float, ceiling: float, weight: float) -> float:
+    """``_weighted_water_fill(capacity, [ceiling], [weight])[0]``, in closed form.
+
+    One consumer takes the whole capacity up to its ceiling in the fill's
+    first round.  The expressions are the fill's own with a zero prior
+    allocation (``ceiling - 0.0`` and ``0.0 + share`` are exact no-ops for a
+    positive operand), so the grant is bit-for-bit the same.
+    """
+    if capacity <= 1e-12 or ceiling <= 0.0:
+        return 0.0
+    share = capacity * weight / weight
+    if share >= ceiling - 1e-12:
+        return ceiling
+    return share
+
+
 def _water_fill(capacity: float, ceilings: list[float]) -> list[float]:
     """Unweighted water-filling (equal shares); see _weighted_water_fill."""
     return _weighted_water_fill(capacity, list(ceilings), [1.0] * len(ceilings))
@@ -93,6 +109,10 @@ class Scheduler:
         if not clusters:
             raise SchedulingError("scheduler needs at least one cluster")
         self._clusters = dict(clusters)
+        # What each tick reads per cluster, resolved once.
+        self._cluster_ticks = tuple(
+            (name, spec.ipc, spec.n_cores) for name, spec in self._clusters.items()
+        )
         self._tasks: dict[int, Task] = {}
 
     @property
@@ -161,33 +181,46 @@ class Scheduler:
                     group.append(task)
         usage: dict[str, ClusterUsage] = {}
         completed: list[Hashable] = []
-        for cname, spec in self._clusters.items():
+        for cname, ipc, n_cores in self._cluster_ticks:
             freq = freqs_hz.get(cname)
             if freq is None:
                 raise SchedulingError(f"no frequency supplied for cluster {cname!r}")
-            capacity = spec.capacity_cycles(freq, dt_s)
-            per_core = capacity / spec.n_cores
-            used = 0.0
-            per_task: dict[int, float] = {}
-            max_core_load = 0.0
+            # ClusterSpec.capacity_cycles, inlined.
+            capacity = ipc * freq * n_cores * dt_s
             runnable = groups[cname]
-            if runnable:
+            if not runnable:
+                usage[cname] = ClusterUsage(
+                    capacity_cycles=capacity,
+                    used_cycles=0.0,
+                    busy_cores=0.0,
+                    max_core_load=0.0,
+                )
+                continue
+            per_core = capacity / n_cores
+            if len(runnable) == 1:
+                task = runnable[0]
+                ceiling = task.demand_cycles(per_core)
+                grants = (_lone_grant(capacity, ceiling, task.weight),)
+            else:
                 ceilings = [t.demand_cycles(per_core) for t in runnable]
                 weights = [t.weight for t in runnable]
                 grants = _weighted_water_fill(capacity, ceilings, weights)
-                for task, grant in zip(runnable, grants):
-                    if grant <= 0.0:
-                        continue
-                    completed.extend(task.consume(grant, dt_s, freq, spec.ipc))
-                    per_task[task.pid] = grant
-                    used += grant
-                    # Load of this task's busiest core, assuming its threads
-                    # spread evenly (what per-CPU governors like interactive
-                    # see).
-                    threads = min(task.n_threads, spec.n_cores)
-                    max_core_load = max(max_core_load, grant / (per_core * threads))
-            busy_cores = used / (spec.ipc * freq * dt_s) if freq > 0 else 0.0
-            cluster_load = busy_cores / spec.n_cores
+            used = 0.0
+            per_task: dict[int, float] = {}
+            max_core_load = 0.0
+            for task, grant in zip(runnable, grants):
+                if grant <= 0.0:
+                    continue
+                completed.extend(task.consume(grant, dt_s, freq, ipc))
+                per_task[task.pid] = grant
+                used += grant
+                # Load of this task's busiest core, assuming its threads
+                # spread evenly (what per-CPU governors like interactive
+                # see).
+                threads = min(task.n_threads, n_cores)
+                max_core_load = max(max_core_load, grant / (per_core * threads))
+            busy_cores = used / (ipc * freq * dt_s) if freq > 0 else 0.0
+            cluster_load = busy_cores / n_cores
             usage[cname] = ClusterUsage(
                 capacity_cycles=capacity,
                 used_cycles=used,

@@ -26,10 +26,11 @@ its accumulators are written back and the tick is completed through the
 kernel's real phase methods, after which the scenario steps scalar until
 the next segment boundary re-checks promotion.
 
-The fast path's only observable divergences are wall-clock-domain:
-absorbed governor fires emit no ``governor.update`` span and no decision-
-latency observation (a wall-clock histogram excluded from deterministic
-snapshots anyway).  See ``docs/ENGINE.md`` for the full contract.
+The fast path's only observable divergence is wall-clock-domain:
+absorbed governor fires make no decision-latency observation (a wall-clock
+histogram excluded from deterministic snapshots anyway).  They left the
+frequency unchanged, so they owe no ``governor.update`` span.  See
+``docs/ENGINE.md`` for the full contract.
 """
 
 from __future__ import annotations

@@ -114,3 +114,27 @@ def test_clear_resets():
 def test_capacity_validation():
     with pytest.raises(ConfigurationError):
         SpanTracer(capacity=0)
+
+
+def test_stock_throttled_run_keeps_every_span():
+    """Table I's 140 s stock-throttled amazon run fits the span ring.
+
+    Only evaluations that changed a frequency leave a ``governor.update``
+    span, so the first thermal trip is still there at the end of the run.
+    """
+    from repro.experiments.nexus import run_app
+
+    sim = run_app("amazon", True).sim
+
+    def total(name):
+        return sum(child.value for child in sim.metrics.children(name))
+
+    assert sim.spans.dropped == 0
+    trips = sim.spans.spans("thermal.trip")
+    assert trips
+    assert len(trips) == total("repro_thermal_trips_total")
+    updates = sim.spans.spans("governor.update")
+    assert all(
+        s.attrs["freq_before_hz"] != s.attrs["freq_after_hz"] for s in updates
+    )
+    assert len(updates) == total("repro_governor_freq_changes_total")

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.scheduler import Scheduler, _water_fill
+from repro.kernel.scheduler import (
+    Scheduler,
+    _lone_grant,
+    _water_fill,
+    _weighted_water_fill,
+)
+from repro.kernel.task import nice_to_weight
 from repro.soc.components import ClusterSpec, LeakageParams
 from repro.soc.opp import OppTable
 
@@ -109,3 +115,64 @@ def test_scheduler_work_conservation(works, freq_mhz):
     expected = sum(min(w, per_core) for w in works)
     expected = min(expected, usage.capacity_cycles)
     assert usage.used_cycles == pytest.approx(expected, rel=1e-9)
+
+
+@st.composite
+def lone_fills(draw):
+    """(capacity, ceiling) pairs around every branch of a one-task fill."""
+    capacity = draw(
+        st.one_of(st.just(0.0), st.floats(0.0, 2e-12), st.floats(0.0, 1e10))
+    )
+    ceiling = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1e-12),
+            st.floats(0.0, 1e10),
+            # Above capacity, at it, and within the fill's 1e-12 slack.
+            st.floats(1.0, 10.0).map(lambda f: capacity * f),
+            st.floats(-2e-12, 2e-12).map(lambda d: max(capacity + d, 0.0)),
+        )
+    )
+    return capacity, ceiling
+
+
+@given(fill=lone_fills(), nice=st.integers(-5, 5))
+@settings(max_examples=300, deadline=None)
+def test_lone_grant_is_the_water_fill_bit_for_bit(fill, nice):
+    capacity, ceiling = fill
+    weight = nice_to_weight(nice)
+    expected = _weighted_water_fill(capacity, [ceiling], [weight])[0]
+    assert _lone_grant(capacity, ceiling, weight).hex() == expected.hex()
+
+
+@given(
+    nice=st.integers(-5, 5),
+    quota=st.floats(1e-3, 1.0),
+    unbounded=st.booleans(),
+    backlog=st.one_of(st.floats(1e-13, 1e-12), st.floats(1e-13, 1e8)),
+    n_threads=st.integers(1, 6),
+    freq_hz=st.sampled_from([0.0, 200e6, 2000e6]),
+)
+@settings(max_examples=200, deadline=None)
+def test_scheduler_lone_task_matches_the_water_fill(
+    nice, quota, unbounded, backlog, n_threads, freq_hz
+):
+    """A cluster's only runnable task gets exactly the water-fill grant."""
+    opps = OppTable.from_pairs([(200e6, 0.9), (2000e6, 1.3)])
+    leak = LeakageParams(kappa_w_per_k2=1e-4, beta_k=1650.0)
+    spec = ClusterSpec("c", "t", 4, opps, 1e-10, leak, ipc=1.5)
+    sched = Scheduler({"c": spec})
+    task = sched.spawn("t", "c", n_threads=n_threads, unbounded=unbounded, nice=nice)
+    task.set_cpu_quota(quota)
+    task.add_work(backlog)
+    dt = 0.01
+    capacity = spec.capacity_cycles(freq_hz, dt)
+    ceiling = task.demand_cycles(capacity / spec.n_cores)
+    (grant,) = _weighted_water_fill(capacity, [ceiling], [task.weight])
+    usage = sched.run_tick({"c": freq_hz}, dt).usage["c"]
+    if grant > 0.0:
+        assert usage.per_task_cycles == {task.pid: grant}
+        assert usage.used_cycles.hex() == grant.hex()
+    else:
+        assert usage.per_task_cycles == {}
+        assert usage.used_cycles == 0.0
